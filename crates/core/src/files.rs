@@ -2,7 +2,7 @@
 
 use crate::diff::cross_view_diff;
 use crate::harden::{file_scan_decoys, DecoyPump, PassCounter};
-use crate::instrument::{record_chain, record_view_entries, LatencyProbe};
+use crate::instrument::{chain_query, record_chain, record_view_entries, LatencyProbe};
 use crate::policy::{interrupt_status, ScanPolicy};
 use crate::report::{Detection, DiffReport, FileCategory, NoiseClass, NoiseFilter, ResourceKind};
 use crate::snapshot::{FileFact, ScanMeta, Snapshot, ViewKind};
@@ -97,6 +97,7 @@ impl FileScanner {
         };
         let span = MaybeSpan::start(self.telemetry.as_ref(), "files.high_scan");
         let probe = LatencyProbe::new(self.telemetry.as_ref(), "files.dir_query_ns");
+        let recording = span.is_recording();
         let mut chain = ChainStats::default();
         let mut snap = Snapshot::new(ScanMeta::new(view, machine.now()));
         // Hardened scans shuffle descent order per pass and interleave
@@ -117,24 +118,13 @@ impl FileScanner {
             snap.meta.io.record_seek();
             let query = Query::DirectoryEnum { path: dir };
             let query_started = probe.start();
-            let rows = if span.is_recording() {
-                match machine.query_traced(ctx, &query, entry) {
-                    Ok((rows, trace)) => {
-                        chain.absorb(&trace);
-                        rows
-                    }
-                    // A directory deleted mid-walk is normal churn.
-                    Err(NtStatus::ObjectNameNotFound) => continue,
-                    Err(e) => return Err(e),
-                }
-            } else {
-                match machine.query(ctx, &query, entry) {
+            let rows =
+                match chain_query(machine, ctx, &query, entry, recording.then_some(&mut chain)) {
                     Ok(rows) => rows,
                     // A directory deleted mid-walk is normal churn, not an error.
                     Err(NtStatus::ObjectNameNotFound) => continue,
                     Err(e) => return Err(e),
-                }
-            };
+                };
             probe.finish(query_started);
             pump.tick(machine, ctx);
             snap.meta.io.record_entries(rows.len() as u64);

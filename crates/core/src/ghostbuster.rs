@@ -549,9 +549,9 @@ impl GhostBuster {
     }
 
     /// Runs one pipeline as a supervised task: gated by its circuit breaker,
-    /// isolated on its own thread (a panicking parser degrades one pipeline,
-    /// not the sweep), stabilization passes inside, and on any unrecoverable
-    /// error an empty report marked degraded — the sweep's
+    /// run inline under `catch_unwind` (a panicking parser degrades one
+    /// pipeline, not the sweep), stabilization passes inside, and on any
+    /// unrecoverable error an empty report marked degraded — the sweep's
     /// graceful-degradation seam.
     fn run_pipeline(
         &self,
@@ -560,7 +560,7 @@ impl GhostBuster {
         now: Tick,
         span: &MaybeSpan,
         breaker: Option<&CircuitBreaker>,
-        scan: impl FnMut() -> Result<DiffReport, NtStatus> + Send,
+        scan: impl FnMut() -> Result<DiffReport, NtStatus>,
     ) -> PipelineOutcome {
         let recorder = self.telemetry.as_ref().map(Telemetry::recorder);
         if let Some(b) = breaker {
@@ -607,7 +607,7 @@ impl GhostBuster {
         };
         // `quorum_diff` is plain stabilization when hardening is off, and
         // majority-vote flicker scoring over K passes when it is armed.
-        match run_isolated(name, || self.policy.quorum_diff(scan)) {
+        match run_isolated(|| self.policy.quorum_diff(scan)) {
             Ok(Ok(report)) => {
                 if let Some(b) = breaker {
                     b.record_success();
@@ -649,10 +649,11 @@ impl GhostBuster {
 
     /// The full inside-the-box sweep: files, ASEPs, processes, modules.
     ///
-    /// Each pipeline runs as an independently supervised task: on its own
-    /// thread, under its own deadline (the tighter of the policy's pipeline
-    /// and sweep budgets), observing the detector's cancellation token, and
-    /// gated by its circuit breaker when the policy arms them. A pipeline
+    /// Each pipeline runs as an independently supervised task, one after
+    /// another on the calling thread: panic-isolated, under its own
+    /// deadline (the tighter of the policy's pipeline and sweep budgets),
+    /// observing the detector's cancellation token, and gated by its
+    /// circuit breaker when the policy arms them. A pipeline
     /// whose truth source fails permanently — or that times out, is
     /// cancelled, or panics — no longer aborts the sweep: it yields an empty
     /// report and a [`PipelineStatus::Degraded`] entry in

@@ -4,8 +4,9 @@
 
 use crate::snapshot::ViewKind;
 use std::sync::Arc;
+use strider_nt_core::NtStatus;
 use strider_support::obs::{Clock, MaybeSpan, Telemetry};
-use strider_winapi::ChainStats;
+use strider_winapi::{CallContext, ChainEntry, ChainStats, Machine, Query, Row};
 
 /// Feeds per-iteration latencies from a hot scan loop into a named
 /// bounded [`HistogramSketch`](strider_support::obs::HistogramSketch).
@@ -54,6 +55,28 @@ pub(crate) fn record_view_entries(
     span.set_attr("entries", entries);
     if let Some(t) = telemetry {
         t.counter_add(&format!("{pipeline}.entries.{view:?}"), entries as u64);
+    }
+}
+
+/// Runs one query through the machine's API chain, folding its
+/// [`ChainTrace`](strider_winapi::ChainTrace) into `chain` when one is
+/// given. Scanners pass `Some` only while their span records, so an
+/// untraced scan clones no rows.
+pub(crate) fn chain_query(
+    machine: &Machine,
+    ctx: &CallContext,
+    query: &Query,
+    entry: ChainEntry,
+    chain: Option<&mut ChainStats>,
+) -> Result<Vec<Row>, NtStatus> {
+    match chain {
+        Some(chain) => machine
+            .query_traced(ctx, query, entry)
+            .map(|(rows, trace)| {
+                chain.absorb(&trace);
+                rows
+            }),
+        None => machine.query(ctx, query, entry),
     }
 }
 

@@ -1,7 +1,7 @@
 //! Hidden-process and hidden-module detection (paper, Section 4).
 
 use crate::diff::cross_view_diff;
-use crate::instrument::{record_chain, record_view_entries, LatencyProbe};
+use crate::instrument::{chain_query, record_chain, record_view_entries, LatencyProbe};
 use crate::policy::interrupt_status;
 use crate::report::{Detection, DiffReport, NoiseClass, ResourceKind};
 use crate::snapshot::{ModuleFact, ProcessFact, ScanMeta, Snapshot, ViewKind};
@@ -68,15 +68,10 @@ impl ProcessScanner {
         let span = MaybeSpan::start(self.telemetry.as_ref(), "processes.high_scan");
         let mut snap = Snapshot::new(ScanMeta::new(view, machine.now()));
         snap.meta.io.record_api_call();
-        let rows = if span.is_recording() {
-            let (rows, trace) = machine.query_traced(ctx, &Query::ProcessList, entry)?;
-            let mut chain = ChainStats::default();
-            chain.absorb(&trace);
-            record_chain(&span, &chain);
-            rows
-        } else {
-            machine.query(ctx, &Query::ProcessList, entry)?
-        };
+        let mut chain = ChainStats::default();
+        let traced = span.is_recording().then_some(&mut chain);
+        let rows = chain_query(machine, ctx, &Query::ProcessList, entry, traced)?;
+        record_chain(&span, &chain);
         snap.meta.io.record_entries(rows.len() as u64);
         for row in rows {
             if let Row::Process(p) = row {
@@ -270,6 +265,7 @@ impl ProcessScanner {
         };
         let span = MaybeSpan::start(self.telemetry.as_ref(), "modules.high_scan");
         let probe = LatencyProbe::new(self.telemetry.as_ref(), "modules.proc_query_ns");
+        let recording = span.is_recording();
         let mut chain = ChainStats::default();
         let mut snap = Snapshot::new(ScanMeta::new(view, machine.now()));
         for (_, proc_fact) in procs.iter() {
@@ -277,16 +273,7 @@ impl ProcessScanner {
             snap.meta.io.record_api_call();
             let query = Query::ModuleList { pid: proc_fact.pid };
             let query_started = probe.start();
-            let result = if span.is_recording() {
-                machine
-                    .query_traced(ctx, &query, entry)
-                    .map(|(rows, trace)| {
-                        chain.absorb(&trace);
-                        rows
-                    })
-            } else {
-                machine.query(ctx, &query, entry)
-            };
+            let result = chain_query(machine, ctx, &query, entry, recording.then_some(&mut chain));
             probe.finish(query_started);
             let rows = match result {
                 Ok(rows) => rows,

@@ -3,16 +3,10 @@
 //! A durable fleet sweep journals its progress into a
 //! [`RecordStore`](strider_support::store::RecordStore) so the process can
 //! be killed at *any* byte of *any* write and a restarted process resumes
-//! to the same merged result. Two persistence shapes are supported:
-//!
-//! * [`DurabilityMode::WalAppend`] — one base record holding the fresh
-//!   [`FleetCheckpoint`], then one O(1) appended record per completed
-//!   shard. This is the production shape: per-shard cost is independent
-//!   of fleet size.
-//! * [`DurabilityMode::FullRewrite`] — every shard completion commits the
-//!   entire merged checkpoint through an atomic temp-write + rename. This
-//!   is the naive shape kept as a benchmark baseline; its per-shard cost
-//!   grows with the fleet.
+//! to the same merged result. The journal is a write-ahead log
+//! ([`DurabilityMode::WalAppend`]): one base record holding the fresh
+//! [`FleetCheckpoint`], then one O(1) appended record per completed
+//! shard, so per-shard cost is independent of fleet size.
 //!
 //! Recovery ([`recover_state`]) replays the journal: the last intact
 //! `fleet` record is the base, and every later `shard` / `quarantine`
@@ -33,14 +27,17 @@ use strider_support::rng::SplitMix64;
 use strider_support::store::RecordStore;
 
 /// How a durable sweep persists per-shard completions.
+///
+/// Append-only journaling is the only mode. The enum and
+/// [`FleetScheduler::sweep_durable`](crate::FleetScheduler::sweep_durable)'s
+/// `mode` parameter stay because existing callers name them; the
+/// whole-checkpoint-rewrite baseline it replaced is recorded in DESIGN
+/// §5.11.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DurabilityMode {
     /// Append one journal record per completed shard — O(1) per shard.
     #[default]
     WalAppend,
-    /// Rewrite the whole merged checkpoint per completed shard through an
-    /// atomic commit — O(fleet) per shard; benchmark baseline.
-    FullRewrite,
 }
 
 /// The self-healing budget for one fleet sweep: how many attempts each
@@ -200,8 +197,7 @@ impl From<CheckpointMismatch> for DurableSweepError {
 }
 
 /// Renders the journal's base/full record: the merged checkpoint plus the
-/// quarantine set. Written once at sweep start in WAL mode, and on every
-/// shard completion in [`DurabilityMode::FullRewrite`].
+/// quarantine set. Written once, at the start of a fresh sweep.
 pub(crate) fn fleet_record(
     checkpoint: &FleetCheckpoint,
     quarantined: &BTreeMap<u32, QuarantineRecord>,

@@ -312,10 +312,8 @@ impl FleetScheduler {
     /// [`FleetReport::result_digest`] is byte-identical to an
     /// uninterrupted run's.
     ///
-    /// In [`DurabilityMode::WalAppend`] a fresh sweep writes one base
-    /// record and then one O(1) appended record per shard;
-    /// [`DurabilityMode::FullRewrite`] re-commits the whole merged
-    /// checkpoint per shard (the naive baseline the bench quantifies).
+    /// A fresh sweep writes one base record and then one O(1) appended
+    /// record per shard ([`DurabilityMode::WalAppend`], the only mode).
     ///
     /// # Errors
     ///
@@ -336,57 +334,43 @@ impl FleetScheduler {
             Some(state) => (state.checkpoint, state.quarantined),
             None => (FleetCheckpoint::new(fleet), BTreeMap::new()),
         };
-        // A fresh WAL needs its base record before any shard record can
-        // land; a resumed store already has one. FullRewrite's base is
-        // simply its first whole-checkpoint commit.
-        if mode == DurabilityMode::WalAppend && store.recover()?.records.is_empty() {
+        // `WalAppend` is the only mode. A fresh WAL needs its base record
+        // before any shard record can land; a resumed store already has one.
+        let DurabilityMode::WalAppend = mode;
+        if store.recover()?.records.is_empty() {
             store.append(fleet_record(&checkpoint, &fenced).as_bytes())?;
         }
-        // The journaling closure keeps its own merged view (`shadow`) so
-        // FullRewrite can re-commit the whole state while the live
-        // checkpoint is mutably held by the worker slots.
-        let mut shadow = checkpoint.clone();
-        let mut shadow_fenced = fenced.clone();
         let mut io_failure: Option<std::io::Error> = None;
         let mut persist = |shard: u32,
                            snapshot: Option<&SweepCheckpoint>,
                            result: &ShardResult|
          -> std::io::Result<()> {
-            let outcome = (|| -> std::io::Result<()> {
-                if let ShardDisposition::Quarantined {
-                    attempts,
-                    reason,
-                    evidence,
-                } = &result.disposition
-                {
-                    let q = QuarantineRecord {
-                        shard,
-                        machine: result.machine.clone(),
-                        attempts: *attempts,
-                        reason: reason.clone(),
-                        evidence: evidence.clone(),
-                    };
-                    if mode == DurabilityMode::WalAppend {
-                        store.append(quarantine_record(&q).as_bytes())?;
-                    }
-                    shadow_fenced.insert(shard, q);
-                } else if let Some(cp) = snapshot {
-                    if mode == DurabilityMode::WalAppend {
-                        store.append(shard_record(shard, cp).as_bytes())?;
-                    }
-                    shadow.shards[shard as usize] = cp.clone();
+            let record = match (&result.disposition, snapshot) {
+                (
+                    ShardDisposition::Quarantined {
+                        attempts,
+                        reason,
+                        evidence,
+                    },
+                    _,
+                ) => quarantine_record(&QuarantineRecord {
+                    shard,
+                    machine: result.machine.clone(),
+                    attempts: *attempts,
+                    reason: reason.clone(),
+                    evidence: evidence.clone(),
+                }),
+                (_, Some(cp)) => shard_record(shard, cp),
+                (_, None) => return Ok(()),
+            };
+            match store.append(record.as_bytes()) {
+                Ok(_) => Ok(()),
+                Err(e) => {
+                    let stub = std::io::Error::new(e.kind(), "journal write failed");
+                    io_failure = Some(e);
+                    Err(stub)
                 }
-                if mode == DurabilityMode::FullRewrite {
-                    store.commit(fleet_record(&shadow, &shadow_fenced).as_bytes())?;
-                }
-                Ok(())
-            })();
-            if let Err(e) = outcome {
-                let stub = std::io::Error::new(e.kind(), "journal write failed");
-                io_failure = Some(e);
-                return Err(stub);
             }
-            Ok(())
         };
         let mut observer = |_: &ShardResult| FleetControl::Continue;
         let outcome = self.sweep_core(

@@ -4,12 +4,12 @@
 //!
 //! Per-shard telemetries are frozen independently, so their
 //! [`SpanRecord::tid`](strider_support::obs::SpanRecord::tid) values
-//! collide across shards (every shard's first pipeline thread is tid 1).
+//! collide across shards (every shard's sweep thread is tid 0).
 //! The merge assigns globally stable tids instead: tid 0 is the
 //! scheduler lane, tids `1..=workers` are the named worker lanes, and
 //! each shard's threads are remapped onto fresh tids above that, named
 //! `shard-NNN <original thread name>` so Perfetto shows which machine a
-//! pipeline thread belonged to.
+//! sweep thread belonged to.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -328,7 +328,7 @@ impl FleetTrace {
                     }
                 }
                 // Prefix thread_name metadata so the lane names which
-                // machine the pipeline thread belonged to.
+                // machine the sweep thread belonged to.
                 let is_meta = fields
                     .iter()
                     .any(|(k, v)| k == "ph" && matches!(v, JsonValue::Str(s) if s == "M"));

@@ -10,7 +10,7 @@
 //! |-----------|---------------|--------------------------------------------------------|
 //! | [`json`]  | `serde` + `serde_json` | [`json::ToJson`]/[`json::FromJson`] traits, a [`json::JsonValue`] tree, a strict parser/writer, and the [`impl_json!`](crate::impl_json) derive-replacement macro |
 //! | [`bytes`] | `bytes`       | [`bytes::Buf`]/[`bytes::BufMut`] traits plus [`bytes::Bytes`]/[`bytes::BytesMut`] with the little-endian accessors the binary formats use |
-//! | [`sync`]  | `parking_lot` + `crossbeam-channel` | [`sync::Mutex`]/[`sync::RwLock`] wrappers over `std::sync` with non-poisoning `lock()`/`read()`/`write()`, plus a bounded MPSC channel ([`sync::bounded`], [`sync::Sender`]/[`sync::Receiver`]) and the [`sync::run_isolated`] panic-isolating task runner |
+//! | [`sync`]  | `parking_lot` + `crossbeam-channel` | [`sync::Mutex`]/[`sync::RwLock`] wrappers over `std::sync` with non-poisoning `lock()`/`read()`/`write()`, plus a bounded MPSC channel ([`sync::bounded`], [`sync::Sender`]/[`sync::Receiver`]) and [`sync::run_isolated`], which runs a task inline under `catch_unwind` |
 //! | [`rng`]   | `rand`        | [`rng::SplitMix64`], a tiny seeded PRNG with `gen_range`-style helpers; deterministic across platforms |
 //! | [`check`] | `proptest`    | a shrinking property-test harness: [`check::check`], the [`check::Shrink`] trait, and the [`prop_assert!`](crate::prop_assert)/[`prop_assert_eq!`](crate::prop_assert_eq) macros |
 //! | [`mod@bench`] | `criterion`   | a mini benchmark harness with the `Criterion`/`benchmark_group`/`Bencher` API shape that writes `BENCH_<group>.json` files at the workspace root |

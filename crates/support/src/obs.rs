@@ -33,7 +33,7 @@
 //!   per-entry latencies forever without unbounded growth,
 //! * a **Chrome-trace exporter**: [`TelemetryReport::chrome_trace`] emits
 //!   the span forest in the `trace_event` JSON array format (stable
-//!   tid/pid per pipeline thread) that opens directly in Perfetto or
+//!   tid/pid per recording thread) that opens directly in Perfetto or
 //!   `chrome://tracing`.
 
 use crate::json::{JsonValue, ToJson};
@@ -1083,9 +1083,9 @@ pub struct SpanRecord {
     /// Clock value at close (the report's freeze time for open spans).
     pub end_ns: u64,
     /// Dense, registry-stable id of the OS thread that opened the span
-    /// (index into [`TelemetryReport::threads`]). Pipelines run on scoped
-    /// threads, so this is what tells a `files.scan_inside` span apart
-    /// from a `registry.scan_inside` span in a flat timeline.
+    /// (index into [`TelemetryReport::threads`]). A sweep's pipelines
+    /// share its thread; fleet workers each get their own, so this is
+    /// what separates concurrent sweeps in a flat timeline.
     pub tid: u64,
     /// Attributes, in attachment order.
     pub attrs: Vec<(String, AttrValue)>,
@@ -1285,7 +1285,7 @@ impl TelemetryReport {
     /// event per span with allocation activity (series `allocs` /
     /// `alloc_bytes`, emitted at the span's close), one instant
     /// (`"ph":"i"`) event per span event, plus `thread_name` metadata so
-    /// Perfetto / `chrome://tracing` labels each pipeline thread.
+    /// Perfetto / `chrome://tracing` labels each recording thread.
     /// Timestamps are in microseconds as the format requires; `pid` is
     /// always 1 (one process), `tid` is the registry-stable
     /// [`SpanRecord::tid`].

@@ -134,45 +134,38 @@ pub fn bounded<T>(capacity: usize) -> (Sender<T>, Receiver<T>) {
     (Sender(tx), Receiver(rx))
 }
 
-/// Runs `f` on a freshly spawned, named thread and joins it, converting a
-/// panic into an `Err` with the panic message.
+/// Runs `f` inline under [`std::panic::catch_unwind`], converting a panic
+/// into an `Err` with the panic message.
 ///
 /// This is the isolation boundary the supervised sweep engine runs each
-/// pipeline behind: a panicking parser tears down one task's thread, not
-/// the sweep. The closure's return value travels back on success; on panic
-/// the payload is rendered (`&str`/`String` payloads verbatim, anything
-/// else as a placeholder) so the caller can file it as a degradation cause.
+/// pipeline behind: a panicking parser unwinds out of one task, not the
+/// sweep. The closure runs on the caller's thread, so its allocations and
+/// spans land in the caller's counters. The closure's return value travels
+/// back on success; on panic the payload is rendered (`&str`/`String`
+/// payloads verbatim, anything else as a placeholder) so the caller can
+/// file it as a degradation cause.
 ///
 /// # Examples
 ///
 /// ```
 /// use strider_support::sync::run_isolated;
 ///
-/// assert_eq!(run_isolated("ok", || 7), Ok(7));
-/// let err = run_isolated("boom", || -> u32 { panic!("bad sector") });
+/// assert_eq!(run_isolated(|| 7), Ok(7));
+/// let err = run_isolated(|| -> u32 { panic!("bad sector") });
 /// assert_eq!(err.unwrap_err(), "bad sector");
 /// ```
-pub fn run_isolated<T, F>(name: &str, f: F) -> Result<T, String>
-where
-    T: Send,
-    F: FnOnce() -> T + Send,
-{
-    // A scoped thread (not `Builder::spawn`) so the closure may borrow from
-    // the caller's stack — pipelines borrow the machine and their scanners.
-    std::thread::scope(|scope| {
-        let handle = std::thread::Builder::new()
-            .name(name.to_string())
-            .spawn_scoped(scope, f)
-            .map_err(|e| format!("failed to spawn task thread: {e}"))?;
-        handle.join().map_err(|payload| {
-            if let Some(msg) = payload.downcast_ref::<&str>() {
-                (*msg).to_string()
-            } else if let Some(msg) = payload.downcast_ref::<String>() {
-                msg.clone()
-            } else {
-                "non-string panic payload".to_string()
-            }
-        })
+pub fn run_isolated<T>(f: impl FnOnce() -> T) -> Result<T, String> {
+    // Unwind-safe in practice: a panicked task's partial results are
+    // discarded, and the shared state it touches sits behind the
+    // non-poisoning locks above.
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).map_err(|payload| {
+        if let Some(msg) = payload.downcast_ref::<&str>() {
+            (*msg).to_string()
+        } else if let Some(msg) = payload.downcast_ref::<String>() {
+            msg.clone()
+        } else {
+            "non-string panic payload".to_string()
+        }
     })
 }
 
@@ -215,15 +208,15 @@ mod tests {
 
     #[test]
     fn run_isolated_returns_the_value_or_the_panic_message() {
-        assert_eq!(run_isolated("adds", || 1 + 1), Ok(2));
-        let owned = run_isolated("owned", || -> () { panic!("code {}", 42) });
+        assert_eq!(run_isolated(|| 1 + 1), Ok(2));
+        let owned = run_isolated(|| -> () { panic!("code {}", 42) });
         assert_eq!(owned.unwrap_err(), "code 42");
     }
 
     #[test]
     fn run_isolated_closures_may_borrow_from_the_caller() {
         let data = [1u32, 2, 3];
-        let sum = run_isolated("borrows", || data.iter().sum::<u32>());
+        let sum = run_isolated(|| data.iter().sum::<u32>());
         assert_eq!(sum, Ok(6));
         assert_eq!(data.len(), 3);
     }

@@ -11,7 +11,8 @@
 //! ```
 //!
 //! Open the emitted `SCAN_TRACE_monitor.json` in Perfetto or
-//! `chrome://tracing` to see the four pipeline threads side by side.
+//! `chrome://tracing` to see the four pipelines run in sequence under the
+//! sweep.
 
 use std::sync::Arc;
 use strider_ghostbuster_repro::prelude::*;
@@ -99,29 +100,46 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     let trace = JsonValue::parse(&std::fs::read_to_string(&trace_path)?)?;
-    let mut pipeline_tids = std::collections::BTreeSet::new();
+    // Pipelines run one after another on the sweep's thread: all four
+    // slices share the sweep root's lane and never overlap.
+    let mut sweep_tid = None;
+    let mut slices = Vec::new();
     for event in trace.as_arr()? {
         let fields = event.as_obj()?;
         let get = |k: &str| fields.iter().find(|(key, _)| key == k).map(|(_, v)| v);
-        if get("ph").and_then(|v| v.as_str().ok()) == Some("X")
-            && get("name")
-                .and_then(|v| v.as_str().ok())
-                .is_some_and(|name| name.ends_with(".scan_inside"))
-        {
-            pipeline_tids.insert(get("tid").and_then(|v| v.as_u64().ok()).expect("tid"));
+        let num = |k: &str| get(k).and_then(|v| v.as_f64().ok()).expect(k);
+        if get("ph").and_then(|v| v.as_str().ok()) != Some("X") {
+            continue;
+        }
+        let name = get("name").and_then(|v| v.as_str().ok()).expect("name");
+        let tid = get("tid").and_then(|v| v.as_u64().ok()).expect("tid");
+        if name == "sweep.inside" {
+            sweep_tid = Some(tid);
+        } else if let Some(pipeline) = name.strip_suffix(".scan_inside") {
+            let start = (num("ts") * 1e3).round() as u64;
+            let end = start + (num("dur") * 1e3).round() as u64;
+            slices.push((start, end, tid, pipeline.to_string()));
         }
     }
-    assert_eq!(
-        pipeline_tids.len(),
-        4,
-        "the trace must distinguish all four pipeline threads, got {pipeline_tids:?}"
+    let sweep_tid = sweep_tid.expect("the trace must carry the sweep root span");
+    slices.sort_unstable();
+    let pipelines: std::collections::BTreeSet<&str> =
+        slices.iter().map(|(.., name)| name.as_str()).collect();
+    assert_eq!(pipelines.len(), 4, "all four pipelines appear: {slices:?}");
+    assert!(
+        slices.iter().all(|&(_, _, tid, _)| tid == sweep_tid),
+        "pipelines must share the sweep root's tid {sweep_tid}: {slices:?}"
+    );
+    assert!(
+        slices.windows(2).all(|pair| pair[0].1 <= pair[1].0),
+        "pipeline slices must not overlap: {slices:?}"
     );
 
     println!("\ntelemetry: {}", telemetry_path.display());
     println!(
-        "trace:     {} ({} pipeline threads)",
+        "trace:     {} ({} pipelines on the sweep thread)",
         trace_path.display(),
-        pipeline_tids.len()
+        pipelines.len()
     );
     println!("rolling series tracked: {}", monitor.series_names().len());
     println!("OK");

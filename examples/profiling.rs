@@ -166,7 +166,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .filter(|n| n.starts_with("shard-"))
             .count()
             >= 64,
-        "every shard's pipeline thread is named in the merged trace"
+        "every shard's sweep thread is named in the merged trace"
     );
     // Per-shard tids collide when frozen independently; merged they are
     // globally unique and sit above the reserved scheduler/worker lanes.

@@ -53,7 +53,8 @@ FAULT_SEED="${FAULT_SEED:-20260807}" cargo test -q --offline --test properties \
 # detection, Chrome-trace export, and bounded-telemetry guarantees. The
 # monitor example is self-validating — it re-parses its own exported JSON
 # through support::json, checks the SCAN_TELEMETRY_* schema keys, and
-# requires one tid per pipeline in the Chrome trace — so running it green
+# requires all four pipelines in sequence on the sweep's Chrome-trace
+# lane — so running it green
 # IS the check; the file tests below only confirm the artifacts landed.
 echo "==> observability suite (flight recorder, monitor, trace export)"
 cargo test -q --offline --test observability

@@ -242,11 +242,16 @@ fn monitor_baseline_survives_a_json_round_trip_across_monitors() {
 }
 
 // ---------------------------------------------------------------------
-// Chrome-trace export: one timeline, four pipeline threads
+// Chrome-trace export: one timeline, four pipelines in sequence
 // ---------------------------------------------------------------------
 
+/// A Chrome-trace microsecond timestamp back in clock nanoseconds.
+fn trace_ns(us: f64) -> u64 {
+    (us * 1e3).round() as u64
+}
+
 #[test]
-fn chrome_trace_distinguishes_the_four_pipeline_threads() {
+fn chrome_trace_shows_the_four_pipelines_in_sequence_on_the_sweep_thread() {
     let mut m = infected_machine();
     let clock = Arc::new(FakeClock::default());
     let telemetry = Telemetry::with_clock(clock.clone());
@@ -262,7 +267,9 @@ fn chrome_trace_distinguishes_the_four_pipeline_threads() {
     let events = trace.as_arr().expect("trace_event array format");
     assert!(!events.is_empty());
 
-    let mut pipeline_tids = std::collections::BTreeMap::new();
+    let mut pipelines = std::collections::BTreeSet::new();
+    let mut slices = Vec::new();
+    let mut sweep_tid = None;
     for event in events {
         let obj = event.as_obj().expect("every trace event is an object");
         let field = |k: &str| obj.iter().find(|(key, _)| key == k).map(|(_, v)| v);
@@ -273,10 +280,14 @@ fn chrome_trace_distinguishes_the_four_pipeline_threads() {
         let name = str_field("name").expect("name");
         match ph {
             "X" => {
-                assert!(field("ts").and_then(|v| v.as_f64().ok()).is_some());
-                assert!(field("dur").and_then(|v| v.as_f64().ok()).is_some());
+                let ts = field("ts").and_then(|v| v.as_f64().ok()).expect("ts");
+                let dur = field("dur").and_then(|v| v.as_f64().ok()).expect("dur");
                 if let Some(pipeline) = name.strip_suffix(".scan_inside") {
-                    pipeline_tids.insert(pipeline.to_string(), tid);
+                    pipelines.insert(pipeline.to_string());
+                    slices.push((trace_ns(ts), trace_ns(ts) + trace_ns(dur), tid));
+                }
+                if name == "sweep.inside" {
+                    sweep_tid = Some(tid);
                 }
             }
             "i" => assert!(field("ts").and_then(|v| v.as_f64().ok()).is_some()),
@@ -290,14 +301,24 @@ fn chrome_trace_distinguishes_the_four_pipeline_threads() {
         }
     }
     assert_eq!(
-        pipeline_tids.keys().collect::<Vec<_>>(),
+        pipelines.iter().collect::<Vec<_>>(),
         ["files", "modules", "processes", "registry"],
         "all four pipelines appear"
     );
-    let mut tids: Vec<u64> = pipeline_tids.values().copied().collect();
-    tids.sort_unstable();
-    tids.dedup();
-    assert_eq!(tids.len(), 4, "each pipeline ran on its own thread");
+    // Pipelines (and their stabilization passes) run one after another on
+    // the sweep's thread: one lane, slices that never overlap.
+    let sweep_tid = sweep_tid.expect("the sweep root span is exported");
+    assert!(
+        slices.iter().all(|&(.., tid)| tid == sweep_tid),
+        "pipelines ran off the sweep thread {sweep_tid}: {slices:?}"
+    );
+    slices.sort_unstable();
+    for pair in slices.windows(2) {
+        assert!(
+            pair[0].1 <= pair[1].0,
+            "pipeline slices overlap: {slices:?}"
+        );
+    }
 }
 
 // ---------------------------------------------------------------------

@@ -1162,56 +1162,6 @@ fn fault_crash_matrix_wal_sweep_resumes_to_identical_digest_at_every_kill_class(
 }
 
 #[test]
-fn fault_crash_matrix_rewrite_sweep_survives_torn_writes_and_mid_rename_kills() {
-    let dir = crash_dir("rewrite-matrix");
-
-    let plan = Arc::new(CrashPlan::never());
-    let store = RecordStore::open(dir.join("ref.wal"))
-        .unwrap()
-        .with_crash_plan(plan.clone());
-    let reference = durable_digest(&store, DurabilityMode::FullRewrite);
-    let total = plan.written();
-
-    // Torn-write spot checks across the rewrite stream (the full matrix
-    // runs in WAL mode above; rewrites share the same recovery path).
-    for offset in [1, total / 4, total / 2, (total * 3) / 4, total - 1] {
-        let path = dir.join(format!("kill-{offset}.wal"));
-        let store = RecordStore::open(&path)
-            .unwrap()
-            .with_crash_plan(Arc::new(CrashPlan::at_write_byte(offset)));
-        let err = crash_scheduler()
-            .sweep_durable(&mut crash_fleet(), &store, DurabilityMode::FullRewrite)
-            .unwrap_err();
-        assert!(err.is_injected_crash(), "offset {offset}: {err}");
-        let store = RecordStore::open(&path).unwrap();
-        assert_eq!(
-            durable_digest(&store, DurabilityMode::FullRewrite),
-            reference,
-            "offset {offset} diverged"
-        );
-    }
-
-    // The mid-rename class: the temp file is fully written but the
-    // atomic swap never happens. The stale temp must not confuse the
-    // resume.
-    let path = dir.join("kill-rename.wal");
-    let store = RecordStore::open(&path)
-        .unwrap()
-        .with_crash_plan(Arc::new(CrashPlan::before_rename()));
-    let err = crash_scheduler()
-        .sweep_durable(&mut crash_fleet(), &store, DurabilityMode::FullRewrite)
-        .unwrap_err();
-    assert!(err.is_injected_crash(), "{err}");
-    let store = RecordStore::open(&path).unwrap();
-    assert_eq!(
-        durable_digest(&store, DurabilityMode::FullRewrite),
-        reference,
-        "mid-rename kill diverged"
-    );
-    let _ = std::fs::remove_dir_all(dir);
-}
-
-#[test]
 fn fault_bit_flipped_checkpoint_falls_back_one_generation_without_panic() {
     check(
         "fault_bit_flipped_checkpoint_falls_back_one_generation_without_panic",
@@ -1500,6 +1450,82 @@ fn prof_perf_report_roundtrips_and_critical_path_is_a_root_chain() {
                 matched.iter().any(|s| s.children.is_empty()),
                 "the critical path must end at a leaf span"
             );
+            Ok(())
+        },
+    );
+}
+
+#[test]
+fn prof_sweep_root_allocs_cover_its_leaf_phases() {
+    // Alloc conservation across the sweep: every phase span nests under
+    // the sweep root and runs on its thread, so the root's inclusive
+    // count covers the sum of its leaf phases, and no pipeline scan can
+    // hide its allocations from the counters.
+    fn leaves(span: &SpanRecord, out: &mut Vec<(String, u64)>) {
+        if span.children.is_empty() {
+            out.push((span.name.clone(), span.allocs));
+        }
+        for child in &span.children {
+            leaves(child, out);
+        }
+    }
+    fn scan_insides<'a>(span: &'a SpanRecord, out: &mut Vec<&'a SpanRecord>) {
+        if span.name.ends_with(".scan_inside") {
+            out.push(span);
+        }
+        for child in &span.children {
+            scan_insides(child, out);
+        }
+    }
+    check(
+        "prof_sweep_root_allocs_cover_its_leaf_phases",
+        Config::with_cases(8),
+        |rng| (rng.next_below(4) as u8, rng.next_below(3) as u8),
+        |&(sample, posture)| {
+            let mut m = Machine::with_base_system("conserve").unwrap();
+            let samples: [&dyn Ghostware; 3] = [
+                &HackerDefender::default(),
+                &Vanquish::default(),
+                &Fu::default(),
+            ];
+            if let Some(ghost) = samples.get(usize::from(sample)) {
+                ghost.infect(&mut m).unwrap();
+            }
+            let policy = match posture % 3 {
+                0 => ScanPolicy::strict(),
+                1 => ScanPolicy::resilient(),
+                _ => ScanPolicy::hardened(),
+            };
+            let telemetry = Telemetry::new();
+            GhostBuster::new()
+                .with_policy(policy)
+                .with_telemetry(telemetry.clone())
+                .inside_sweep(&mut m)
+                .map_err(|e| e.to_string())?;
+            let report = telemetry.report();
+            let [root] = report.spans.as_slice() else {
+                return Err(format!(
+                    "one sweep root expected, got {}",
+                    report.spans.len()
+                ));
+            };
+            prop_assert_eq!(root.name.as_str(), "sweep.inside");
+
+            let mut phases = Vec::new();
+            leaves(root, &mut phases);
+            let leaf_allocs: u64 = phases.iter().map(|(_, allocs)| allocs).sum();
+            prop_assert!(
+                root.allocs >= leaf_allocs,
+                "sweep root counted {} allocs, its leaf phases {leaf_allocs}: {phases:?}",
+                root.allocs
+            );
+
+            let mut pipelines = Vec::new();
+            scan_insides(root, &mut pipelines);
+            prop_assert!(pipelines.len() >= 4, "{} pipeline scans", pipelines.len());
+            for scan in pipelines {
+                prop_assert!(scan.allocs > 0, "{} counted no allocations", scan.name);
+            }
             Ok(())
         },
     );

@@ -14,7 +14,7 @@
 use std::sync::Arc;
 use strider_ghostbuster_repro::prelude::*;
 use strider_support::fault::Stall;
-use strider_support::obs::{Clock, FakeClock};
+use strider_support::obs::{Clock, FakeClock, FlightEventKind};
 
 fn infected_machine() -> Machine {
     let mut m = Machine::with_base_system("victim").unwrap();
@@ -352,8 +352,63 @@ fn resume_rejects_a_checkpoint_from_another_machine() {
 fn pipelines_run_isolated_from_scanner_panics() {
     // Directly exercise the isolation seam the sweep runs every pipeline
     // behind: the panic is converted to an error, not propagated.
-    let result = strider_support::sync::run_isolated("boom", || -> u32 {
-        panic!("parser invariant violated")
-    });
+    let result =
+        strider_support::sync::run_isolated(|| -> u32 { panic!("parser invariant violated") });
     assert_eq!(result.unwrap_err(), "parser invariant violated");
+}
+
+#[test]
+fn panicking_pipeline_degrades_alone_and_the_detector_recovers() {
+    // A hook that panics on every directory enumeration: the files
+    // pipeline unwinds mid-scan, on the sweep's own thread.
+    let mut m = Machine::with_base_system("victim").unwrap();
+    m.install_ntdll_hook(
+        "panicker",
+        vec![QueryKind::Files],
+        HookScope::All,
+        Arc::new(|_: &CallContext, query: &Query, rows: Vec<Row>| {
+            assert_ne!(query.kind(), QueryKind::Files, "hook invariant violated");
+            rows
+        }),
+    );
+    let clock = Arc::new(FakeClock::default());
+    let gb = GhostBuster::new()
+        .with_policy(supervised_policy(clock.clone()))
+        .with_telemetry(Telemetry::with_clock(clock));
+
+    let report = gb
+        .inside_sweep(&mut m)
+        .expect("a panic never aborts the sweep");
+    let PipelineStatus::Degraded { reason } = &report.health.files else {
+        panic!("files must degrade: {}", report.health);
+    };
+    assert!(reason.starts_with("panicked: "), "{reason}");
+    assert!(reason.contains("hook invariant violated"), "{reason}");
+    assert!(report.health.registry.is_ok(), "{}", report.health);
+    assert!(report.health.processes.is_ok(), "{}", report.health);
+    assert!(report.health.modules.is_ok(), "{}", report.health);
+
+    // The black box ends at the failure: the degradation mark carrying
+    // the panic closes the dump, and the panic itself is its last fault.
+    let dump = report.black_box("files").expect("degraded pipeline dump");
+    let mark = dump.last().expect("non-empty dump");
+    assert_eq!(mark.kind, FlightEventKind::Mark);
+    assert_eq!(mark.detail, format!("pipeline degraded: {reason}"));
+    let fault = dump
+        .events
+        .iter()
+        .rev()
+        .find(|e| e.kind == FlightEventKind::Fault);
+    let fault = fault.expect("the panic is recorded as a fault");
+    assert_eq!(
+        (fault.what.as_str(), fault.detail.as_str()),
+        ("files", reason.as_str())
+    );
+
+    // Nothing the unwind crossed is left broken: once the hook is gone the
+    // same detector sweeps the machine clean.
+    m.remove_software("panicker");
+    let healed = gb.inside_sweep(&mut m).unwrap();
+    assert!(healed.health.files.is_ok(), "{}", healed.health);
+    assert!(!healed.is_infected(), "{healed}");
 }
