@@ -22,18 +22,20 @@ pub fn cross_view_diff<T, F>(truth: &Snapshot<T>, lie: &Snapshot<T>, build: F) -
 where
     F: Fn(&str, &T) -> Detection,
 {
+    // Both snapshots iterate in key order, so one merge-walk finds the
+    // keys on only one side.
     let mut detections = Vec::new();
+    let mut phantom_in_lie = Vec::new();
+    let mut lie_keys = lie.iter().peekable();
     for (key, fact) in truth.iter() {
-        if !lie.contains(key) {
+        while let Some((phantom, _)) = lie_keys.next_if(|(l, _)| *l < key) {
+            phantom_in_lie.push(phantom.clone());
+        }
+        if lie_keys.next_if(|(l, _)| *l == key).is_none() {
             detections.push(build(key, fact));
         }
     }
-    let mut phantom_in_lie = Vec::new();
-    for (key, _) in lie.iter() {
-        if !truth.contains(key) {
-            phantom_in_lie.push(key.clone());
-        }
-    }
+    phantom_in_lie.extend(lie_keys.map(|(key, _)| key.clone()));
     DiffReport {
         truth_meta: truth.meta.clone(),
         lie_meta: lie.meta.clone(),

@@ -6,7 +6,7 @@ use crate::instrument::{chain_query, record_chain, record_view_entries, LatencyP
 use crate::policy::{interrupt_status, ScanPolicy};
 use crate::report::{Detection, DiffReport, FileCategory, NoiseClass, NoiseFilter, ResourceKind};
 use crate::snapshot::{FileFact, ScanMeta, Snapshot, ViewKind};
-use strider_nt_core::{NtPath, NtStatus, Tick};
+use strider_nt_core::{NtPath, NtStatus, RenderedPath, Tick};
 use strider_ntfs::VolumeImage;
 use strider_support::obs::{MaybeSpan, Telemetry};
 use strider_support::task::Supervision;
@@ -131,18 +131,19 @@ impl FileScanner {
             let mut subdirs = Vec::new();
             for row in rows {
                 if let Row::File(f) = row {
-                    if f.is_dir {
-                        subdirs.push(f.path.clone());
-                    }
+                    let RenderedPath { display, key } = f.path.render();
                     snap.insert(
-                        f.path.fold_key(),
+                        key,
                         FileFact {
-                            path: f.path.to_string(),
+                            path: display,
                             is_dir: f.is_dir,
                             size: f.size,
                             created: None,
                         },
                     );
+                    if f.is_dir {
+                        subdirs.push(f.path);
+                    }
                 }
             }
             if let Some(rng) = &mut order_rng {
@@ -214,19 +215,19 @@ impl FileScanner {
                 t.counter_add("files.defects", defects.len() as u64);
             }
         }
-        for (path, entry) in raw.all_paths() {
+        for (RenderedPath { display, key }, entry) in raw.all_paths() {
             snap.meta.io.record_entries(1);
             if self.detect_ads {
                 for ads in &entry.ads_names {
-                    let pseudo = format!("{}:{}", path, ads.to_display_string());
                     snap.insert(
-                        format!(
-                            "{}:{}",
-                            path.fold_key(),
-                            String::from_utf16_lossy(&ads.fold_key())
-                        ),
+                        [
+                            key.as_str(),
+                            ":",
+                            &String::from_utf16_lossy(&ads.fold_key()),
+                        ]
+                        .concat(),
                         FileFact {
-                            path: pseudo,
+                            path: [display.as_str(), ":", &ads.to_display_string()].concat(),
                             is_dir: false,
                             size: 0,
                             created: Some(entry.created),
@@ -235,9 +236,9 @@ impl FileScanner {
                 }
             }
             snap.insert(
-                path.fold_key(),
+                key,
                 FileFact {
-                    path: path.to_string(),
+                    path: display,
                     is_dir: entry.is_directory(),
                     size: entry.data_len,
                     created: Some(entry.created),

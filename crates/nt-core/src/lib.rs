@@ -39,7 +39,7 @@ mod time;
 
 pub use io::IoStats;
 pub use name::{NtString, Win32NameError};
-pub use path::{NtPath, ParseNtPathError, MAX_PATH};
+pub use path::{NtPath, ParseNtPathError, RenderedPath, MAX_PATH};
 pub use status::NtStatus;
 pub use time::Tick;
 

@@ -1,6 +1,6 @@
 //! Counted UTF-16 names and the Win32 legality rules.
 
-use std::fmt;
+use std::fmt::{self, Write};
 
 /// Reserved DOS device names that the Win32 layer refuses to address as
 /// ordinary files, regardless of extension (`CON.txt` is still `CON`).
@@ -90,36 +90,58 @@ impl NtString {
 
     /// The full counted name, lossily decoded, with embedded `NUL`s rendered
     /// as `\0` escapes so the representation is never misleadingly truncated.
+    /// The same text as `Display`, in a `String` of exactly its length.
     pub fn to_display_string(&self) -> String {
-        let mut out = String::with_capacity(self.units.len());
-        for (i, chunk) in self.units.split(|&u| u == 0).enumerate() {
-            if i > 0 {
-                out.push_str("\\0");
-            }
-            out.push_str(&String::from_utf16_lossy(chunk));
-        }
+        let mut out = String::with_capacity(self.display_len());
+        self.write_display(&mut out)
+            .expect("writing to a String cannot fail");
         out
+    }
+
+    /// Writes the display rendering: the one renderer behind `Display`,
+    /// [`NtString::to_display_string`] and the path renderings.
+    pub(crate) fn write_display<W: Write>(&self, out: &mut W) -> fmt::Result {
+        for c in self.display_chars() {
+            match c {
+                Some(c) => out.write_char(c)?,
+                None => out.write_str("\\0")?,
+            }
+        }
+        Ok(())
+    }
+
+    /// Byte length of [`NtString::to_display_string`].
+    pub(crate) fn display_len(&self) -> usize {
+        self.display_chars()
+            .map(|c| c.map_or(2, char::len_utf8))
+            .sum()
+    }
+
+    /// The decoded display characters; `None` stands for an embedded `NUL`.
+    /// Valid surrogate pairs decode to one character and unpaired
+    /// surrogates to U+FFFD, exactly as `String::from_utf16_lossy` does.
+    fn display_chars(&self) -> impl Iterator<Item = Option<char>> + '_ {
+        char::decode_utf16(self.units.iter().copied()).map(|c| match c {
+            Ok('\0') => None,
+            Ok(c) => Some(c),
+            Err(_) => Some(char::REPLACEMENT_CHARACTER),
+        })
     }
 
     /// A case-folded exact key for case-insensitive maps, preserving embedded
     /// `NUL`s (NT name comparison is case-insensitive but NUL-significant).
     pub fn fold_key(&self) -> Vec<u16> {
-        self.units
-            .iter()
-            .map(|&u| {
-                // Simple-case folding is what the NT upcase table does for
-                // the BMP; ASCII folding covers the simulation's namespace.
-                match char::from_u32(u as u32) {
-                    Some(c) => c.to_ascii_lowercase() as u16,
-                    None => u,
-                }
-            })
-            .collect()
+        self.units.iter().map(|&u| fold_unit(u)).collect()
     }
 
     /// Case-insensitive equality per NT name-comparison rules.
     pub fn eq_ignore_case(&self, other: &NtString) -> bool {
-        self.fold_key() == other.fold_key()
+        self.len() == other.len()
+            && self
+                .units
+                .iter()
+                .zip(&other.units)
+                .all(|(&a, &b)| fold_unit(a) == fold_unit(b))
     }
 
     /// Validates the name against the Win32 layer's file-naming rules.
@@ -133,32 +155,66 @@ impl NtString {
     ///
     /// Returns the first rule the name violates.
     pub fn validate_win32(&self) -> Result<(), Win32NameError> {
-        if self.is_empty() {
-            return Err(Win32NameError::Empty);
+        self.validate_win32_chars()?;
+        match self.reserved_stem() {
+            Some(stem) => Err(Win32NameError::ReservedDeviceName(stem.to_string())),
+            None => Ok(()),
         }
-        if self.contains_nul() {
-            return Err(Win32NameError::EmbeddedNul);
-        }
-        let s = self.to_win32_lossy();
-        if let Some(c) = s.chars().find(|c| WIN32_ILLEGAL_CHARS.contains(c)) {
-            return Err(Win32NameError::IllegalCharacter(c));
-        }
-        if let Some(c) = s.chars().find(|&c| (c as u32) < 0x20) {
-            return Err(Win32NameError::ControlCharacter(c as u32));
-        }
-        if s.ends_with('.') || s.ends_with(' ') {
-            return Err(Win32NameError::TrailingDotOrSpace);
-        }
-        let stem = s.split('.').next().unwrap_or("").to_ascii_uppercase();
-        if RESERVED_DEVICE_NAMES.contains(&stem.as_str()) {
-            return Err(Win32NameError::ReservedDeviceName(stem));
-        }
-        Ok(())
     }
 
     /// Whether the name passes every Win32 file-naming rule.
     pub fn is_win32_legal(&self) -> bool {
-        self.validate_win32().is_ok()
+        self.validate_win32_chars().is_ok() && self.reserved_stem().is_none()
+    }
+
+    /// Every Win32 rule but the reserved stem, in `validate_win32`'s order.
+    /// Each of these rules names an ASCII character, and a unit below
+    /// `0x80` always decodes to itself, so the units are read in place.
+    fn validate_win32_chars(&self) -> Result<(), Win32NameError> {
+        let Some(&last) = self.units.last() else {
+            return Err(Win32NameError::Empty);
+        };
+        if self.contains_nul() {
+            return Err(Win32NameError::EmbeddedNul);
+        }
+        if let Some(c) = self
+            .units
+            .iter()
+            .filter_map(|&u| char::from_u32(u32::from(u)))
+            .find(|c| WIN32_ILLEGAL_CHARS.contains(c))
+        {
+            return Err(Win32NameError::IllegalCharacter(c));
+        }
+        if let Some(&u) = self.units.iter().find(|&&u| u < 0x20) {
+            return Err(Win32NameError::ControlCharacter(u32::from(u)));
+        }
+        if last == u16::from(b'.') || last == u16::from(b' ') {
+            return Err(Win32NameError::TrailingDotOrSpace);
+        }
+        Ok(())
+    }
+
+    /// The reserved device name the stem (the text before the first `.`)
+    /// spells, ignoring ASCII case.
+    fn reserved_stem(&self) -> Option<&'static str> {
+        let stem = self.units.split(|&u| u == u16::from(b'.')).next()?;
+        RESERVED_DEVICE_NAMES.iter().copied().find(|reserved| {
+            reserved.len() == stem.len()
+                && reserved
+                    .bytes()
+                    .zip(stem)
+                    .all(|(r, &u)| u8::try_from(u).is_ok_and(|b| b.to_ascii_uppercase() == r))
+        })
+    }
+}
+
+/// Simple case folding of one unit. The NT upcase table folds the whole
+/// BMP; ASCII folding covers the simulation's namespace.
+pub(crate) fn fold_unit(u: u16) -> u16 {
+    if (u16::from(b'A')..=u16::from(b'Z')).contains(&u) {
+        u + 0x20
+    } else {
+        u
     }
 }
 
@@ -170,6 +226,13 @@ impl From<&str> for NtString {
     }
 }
 
+impl From<Vec<u16>> for NtString {
+    /// Takes ownership of raw code units, which may include `NUL`s.
+    fn from(units: Vec<u16>) -> Self {
+        Self { units }
+    }
+}
+
 impl From<String> for NtString {
     fn from(s: String) -> Self {
         NtString::from(s.as_str())
@@ -178,7 +241,7 @@ impl From<String> for NtString {
 
 impl fmt::Display for NtString {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.to_display_string())
+        self.write_display(f)
     }
 }
 

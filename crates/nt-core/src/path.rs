@@ -1,7 +1,7 @@
 //! Backslash-separated NT paths.
 
-use crate::name::NtString;
-use std::fmt;
+use crate::name::{fold_unit, NtString};
+use std::fmt::{self, Write};
 use std::str::FromStr;
 
 /// The Win32 `MAX_PATH` limit in characters; full paths longer than this are
@@ -82,9 +82,13 @@ impl NtPath {
 
     /// Returns a new path with `name` appended.
     pub fn join(&self, name: impl Into<NtString>) -> NtPath {
-        let mut p = self.clone();
-        p.components.push(name.into());
-        p
+        let mut components = Vec::with_capacity(self.components.len() + 1);
+        components.extend_from_slice(&self.components);
+        components.push(name.into());
+        NtPath {
+            root: self.root.clone(),
+            components,
+        }
     }
 
     /// Returns a new path with all of `other`'s components appended.
@@ -126,17 +130,54 @@ impl NtPath {
             && self.starts_with(other)
     }
 
-    /// A case-folded key suitable for hash maps keyed case-insensitively.
+    /// A case-folded key suitable for hash maps keyed case-insensitively,
+    /// in a `String` of exactly its length.
     pub fn fold_key(&self) -> String {
-        let mut key = self.root.to_ascii_lowercase();
+        let len = self.root.len()
+            + self
+                .components
+                .iter()
+                .map(|c| 1 + fold_len(c))
+                .sum::<usize>();
+        let mut key = String::with_capacity(len);
+        key.push_str(&self.root);
+        key.make_ascii_lowercase();
         for c in &self.components {
             key.push('\\');
-            let folded = c.fold_key();
-            for u in folded {
-                key.push(char::from_u32(u as u32).unwrap_or('\u{FFFD}'));
-            }
+            key.extend(fold_chars(c));
         }
         key
+    }
+
+    /// The `Display` text in a `String` of exactly its length.
+    pub fn to_display_string(&self) -> String {
+        let len = self.root.len()
+            + self
+                .components
+                .iter()
+                .map(|c| 1 + c.display_len())
+                .sum::<usize>();
+        let mut out = String::with_capacity(len);
+        self.write_display(&mut out)
+            .expect("writing to a String cannot fail");
+        out
+    }
+
+    fn write_display<W: Write>(&self, out: &mut W) -> fmt::Result {
+        out.write_str(&self.root)?;
+        for c in &self.components {
+            out.write_char('\\')?;
+            c.write_display(out)?;
+        }
+        Ok(())
+    }
+
+    /// Both renderings at once: what a scanner stores per entry.
+    pub fn render(&self) -> RenderedPath {
+        RenderedPath {
+            display: self.to_display_string(),
+            key: self.fold_key(),
+        }
     }
 
     /// Total length in characters of the rendered path, used for the Win32
@@ -155,11 +196,76 @@ impl NtPath {
 
 impl fmt::Display for NtPath {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.root)?;
-        for c in &self.components {
-            write!(f, "\\{}", c.to_display_string())?;
+        self.write_display(f)
+    }
+}
+
+/// A component's fold-key characters: each unit folded and decoded on its
+/// own, so every surrogate unit, paired or not, becomes U+FFFD.
+fn fold_chars(name: &NtString) -> impl Iterator<Item = char> + '_ {
+    name.units()
+        .iter()
+        .map(|&u| char::from_u32(u32::from(fold_unit(u))).unwrap_or(char::REPLACEMENT_CHARACTER))
+}
+
+fn fold_len(name: &NtString) -> usize {
+    fold_chars(name).map(char::len_utf8).sum()
+}
+
+/// A path rendered once: its display text and its case-folded key, each in
+/// a `String` of exactly its length.
+///
+/// The file scanners build one per entry and move both strings into their
+/// snapshot; [`RenderedPath::join`] extends a parent's rendering without
+/// re-rendering the parent.
+///
+/// # Examples
+///
+/// ```
+/// use strider_nt_core::{NtPath, NtString, RenderedPath};
+///
+/// let dir = RenderedPath::root("C:").join(&NtString::from("Windows"));
+/// let file = dir.join(&NtString::from("Notepad.exe"));
+/// let path: NtPath = "C:\\Windows\\Notepad.exe".parse().unwrap();
+/// assert_eq!(file, path.render());
+/// assert_eq!(file.key, "c:\\windows\\notepad.exe");
+/// ```
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RenderedPath {
+    /// The display text: the same as the `NtPath`'s `Display`.
+    pub display: String,
+    /// The case-folded key: the same as [`NtPath::fold_key`].
+    pub key: String,
+}
+
+impl RenderedPath {
+    /// The rendering of a bare root (a drive, a hive, or a synthetic root
+    /// such as `<orphaned>`).
+    pub fn root(root: &str) -> Self {
+        Self {
+            display: root.to_string(),
+            key: root.to_ascii_lowercase(),
         }
-        Ok(())
+    }
+
+    /// The rendering of this path with `name` appended.
+    pub fn join(&self, name: &NtString) -> Self {
+        let mut display = String::with_capacity(self.display.len() + 1 + name.display_len());
+        display.push_str(&self.display);
+        display.push('\\');
+        name.write_display(&mut display)
+            .expect("writing to a String cannot fail");
+        let mut key = String::with_capacity(self.key.len() + 1 + fold_len(name));
+        key.push_str(&self.key);
+        key.push('\\');
+        key.extend(fold_chars(name));
+        Self { display, key }
+    }
+}
+
+impl fmt::Display for RenderedPath {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(&self.display)
     }
 }
 

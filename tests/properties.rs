@@ -9,11 +9,13 @@
 //! those cases with an early `Ok(())`.
 
 use strider_ghostbuster_repro::prelude::*;
-use strider_nt_core::{NtPath, NtString, Tick};
+use strider_nt_core::{NtPath, NtString, RenderedPath, Tick};
 use strider_support::check::{check, gen, Config};
 use strider_support::fault::FaultPlan;
 use strider_support::rng::SplitMix64;
 use strider_support::{prop_assert, prop_assert_eq, prop_assert_ne};
+
+mod legacy;
 
 // ---------------------------------------------------------------------
 // Generators
@@ -116,6 +118,186 @@ fn path_roundtrip_through_display() {
     );
 }
 
+/// UTF-16 units that hit every Win32 rule and every decoding corner:
+/// letters of both cases (and of the reserved stems), `.`, space, `NUL`,
+/// control and illegal characters, non-ASCII BMP characters, a valid
+/// surrogate pair's halves and unpaired surrogates.
+const ADVERSARIAL_UNITS: &[u16] = &[
+    b'a' as u16,
+    b'Z' as u16,
+    b'c' as u16,
+    b'O' as u16,
+    b'n' as u16,
+    b'N' as u16,
+    b'u' as u16,
+    b'L' as u16,
+    b'p' as u16,
+    b'T' as u16,
+    b'm' as u16,
+    b'1' as u16,
+    b'9' as u16,
+    b'.' as u16,
+    b' ' as u16,
+    0,
+    0x01,
+    0x1F,
+    b'<' as u16,
+    b'?' as u16,
+    b'\\' as u16,
+    0x00E9,
+    0x00C4,
+    0x65E5,
+    0xFF23,
+    0xD83D,
+    0xDE00,
+    0xDBFF,
+    0xDC00,
+    0xFFFD,
+];
+
+/// Hand-picked names for each Win32 rule and decoding corner.
+fn adversarial_names() -> Vec<NtString> {
+    let mut names: Vec<NtString> = [
+        "",
+        "a",
+        "cOm1.txt",
+        "nul.",
+        "LPT9",
+        "con",
+        "Con.tar.gz",
+        "aux.",
+        "prn ",
+        "COM10",
+        "LPT0",
+        "com1.",
+        "nul.cfg",
+        "a<b",
+        "a:b",
+        "a|b",
+        "?",
+        "*.*",
+        "a\"b",
+        "a/b",
+        "a\u{1}b",
+        "\u{1f}",
+        "tab\t",
+        "\u{1}<",
+        "update.",
+        "update ",
+        "..",
+        ".",
+        " ",
+        "a. ",
+        "é.txt",
+        "Ä",
+        "日本語",
+        "ＣＯＮ",
+        "naïve.dll",
+        "😀",
+        "😀.",
+        "x😀y",
+    ]
+    .into_iter()
+    .map(NtString::from)
+    .collect();
+    let raw: &[&[u16]] = &[
+        &[0xD800],
+        &[0xDC00],
+        &[b'a' as u16, 0xD800, b'b' as u16],
+        &[0xD800, b'.' as u16],
+        &[b'c' as u16, b'o' as u16, b'n' as u16, 0xD800],
+        &[0xDBFF, 0xDC00, 0xDC00],
+        &[b'a' as u16, 0, b'b' as u16],
+        &[0],
+        &[b'c' as u16, b'o' as u16, b'n' as u16, 0],
+        &[0xD800, 0, 0xDC00],
+        &[0, 0x01, b'<' as u16],
+    ];
+    names.extend(raw.iter().map(|units| NtString::from_units(units)));
+    names
+}
+
+/// Every per-name rendering and check, current against old.
+fn name_matches_the_old_renderers(name: &NtString) -> Result<(), String> {
+    prop_assert_eq!(name.validate_win32(), legacy::validate_win32(name));
+    prop_assert_eq!(name.is_win32_legal(), legacy::validate_win32(name).is_ok());
+    prop_assert_eq!(name.to_display_string(), legacy::to_display_string(name));
+    prop_assert_eq!(name.to_string(), legacy::to_display_string(name));
+    prop_assert_eq!(
+        name.to_display_string().capacity(),
+        name.to_display_string().len()
+    );
+    prop_assert_eq!(name.fold_key(), legacy::fold_key(name));
+    let upper = NtString::from(name.to_display_string().to_ascii_uppercase());
+    prop_assert_eq!(
+        name.eq_ignore_case(&upper),
+        legacy::eq_ignore_case(name, &upper)
+    );
+    Ok(())
+}
+
+/// Every path rendering, current against old, including the exact sizing
+/// and the incremental [`RenderedPath`] the MFT walk builds.
+fn path_matches_the_old_renderers(path: &NtPath) -> Result<(), String> {
+    let old_display = legacy::path_to_string(path);
+    let old_key = legacy::path_fold_key(path);
+    prop_assert_eq!(path.to_string(), old_display.clone());
+    let display = path.to_display_string();
+    prop_assert_eq!(display.capacity(), display.len());
+    prop_assert_eq!(display, old_display.clone());
+    let key = path.fold_key();
+    prop_assert_eq!(key.capacity(), key.len());
+    prop_assert_eq!(key, old_key.clone());
+    let joined = path
+        .components()
+        .iter()
+        .fold(RenderedPath::root(path.root()), |p, c| p.join(c));
+    prop_assert_eq!(joined.display.capacity(), joined.display.len());
+    prop_assert_eq!(joined.key.capacity(), joined.key.len());
+    prop_assert_eq!(joined.clone(), path.render());
+    prop_assert_eq!(joined.display, old_display);
+    prop_assert_eq!(joined.key, old_key);
+    Ok(())
+}
+
+#[test]
+fn win32_rules_and_renderings_match_the_old_renderers_on_adversarial_names() {
+    let names = adversarial_names();
+    for name in &names {
+        if let Err(e) = name_matches_the_old_renderers(name) {
+            panic!("{:?}: {e}", name.units());
+        }
+    }
+    let path = NtPath::from_components("C:", names.into_iter().filter(|n| !n.is_empty()));
+    path_matches_the_old_renderers(&path).unwrap();
+}
+
+#[test]
+fn name_and_path_renderings_match_the_old_renderers() {
+    check(
+        "name_and_path_renderings_match_the_old_renderers",
+        Config::with_cases(512),
+        |rng| {
+            gen::vec_of(rng, 0, 4, |r| {
+                gen::vec_of(r, 0, 8, |r| *r.choose(ADVERSARIAL_UNITS))
+            })
+        },
+        |components| {
+            let names: Vec<NtString> = components
+                .iter()
+                .map(|units| NtString::from_units(units))
+                .collect();
+            for name in &names {
+                name_matches_the_old_renderers(name)?;
+            }
+            for root in ["C:", "HKLM"] {
+                path_matches_the_old_renderers(&NtPath::from_components(root, names.clone()))?;
+            }
+            Ok(())
+        },
+    );
+}
+
 // ---------------------------------------------------------------------
 // NTFS volume + raw image parser
 // ---------------------------------------------------------------------
@@ -153,7 +335,7 @@ fn volume_image_roundtrip_preserves_the_file_set() {
 
             let raw = VolumeImage::parse(&vol.to_image()).unwrap();
             let mut parsed: Vec<String> =
-                raw.file_paths().iter().map(|(p, _)| p.fold_key()).collect();
+                raw.file_paths().into_iter().map(|(p, _)| p.key).collect();
             parsed.sort();
             prop_assert_eq!(parsed, expected);
             Ok(())
@@ -189,7 +371,7 @@ fn removed_files_never_reappear_in_the_image() {
             }
             let raw = VolumeImage::parse(&vol.to_image()).unwrap();
             for (p, _) in raw.file_paths() {
-                prop_assert!(!removed.contains(&p.fold_key()));
+                prop_assert!(!removed.contains(&p.key));
             }
             Ok(())
         },

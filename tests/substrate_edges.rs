@@ -47,8 +47,12 @@ fn deep_tree_paths_reconstruct() {
     vol.create_file(&path.join("leaf.txt"), b"x").unwrap();
     let raw = VolumeImage::parse(&vol.to_image()).unwrap();
     let (p, _) = &raw.file_paths()[0];
-    assert_eq!(p.depth(), 41);
-    assert!(p.to_string().ends_with("leaf.txt"));
+    assert_eq!(p.display, path.join("leaf.txt").to_string());
+    assert_eq!(
+        p.display.split('\\').count(),
+        1 + 41,
+        "root + 41 components"
+    );
 }
 
 #[test]
